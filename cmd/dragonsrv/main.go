@@ -1,9 +1,10 @@
 // Command dragonsrv serves internal/exp as a long-running campaign
 // service: clients POST campaigns to its HTTP/JSON API (dfsweep and
-// paperfigs do so via -remote), identical points submitted concurrently
-// share one simulation, and finished results persist in a size-bounded
-// LRU store so warm resubmissions execute zero simulations. Progress
-// streams over SSE; / serves a plain-HTML results browser.
+// paperfigs do so via -remote), each campaign runs as tickets on one
+// lease queue where a point identical to a live one shares its
+// simulation, and finished results persist in a size-bounded LRU store
+// so warm resubmissions execute zero simulations. Progress streams over
+// SSE; / serves a plain-HTML results browser.
 //
 //	dragonsrv -addr :8080 -store ~/.cache/dragonsrv -maxstore 512MiB
 //

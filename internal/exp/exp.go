@@ -52,7 +52,7 @@ type Outcome struct {
 	// Cached reports the result came from the cache; no simulation ran.
 	Cached bool
 	// Seconds is the wall-clock time spent producing the result
-	// (zero-ish for cache hits).
+	// (zero-ish for cache hits; see Record for served points).
 	Seconds float64
 	Err     error
 }

@@ -15,6 +15,10 @@ import (
 // Under Options.CanonicalJSONL lines are instead emitted in campaign
 // order with Cached and Seconds zeroed, making the whole stream a
 // deterministic function of the campaign (see that option's doc).
+//
+// Seconds is Outcome.Seconds: for exp.Run the time from dispatch to
+// result, for a point served by dragonsrv the time from its campaign's
+// start to the result, queue wait included.
 type Record struct {
 	Index   int               `json:"index"`
 	Series  string            `json:"series"`
@@ -26,11 +30,11 @@ type Record struct {
 	Result  *dragonfly.Result `json:"result,omitempty"`
 }
 
-// recordFor builds the JSONL record of an outcome. Canonical records
-// drop the two volatile fields — Seconds (wall time) and Cached (a
-// property of the store, not the experiment) — so the line depends only
-// on the point and its deterministic result.
-func recordFor(o *Outcome, canonical bool) Record {
+// RecordOf builds the record of an outcome; the record's Result points
+// into o. Canonical records drop the two volatile fields — Seconds
+// (wall time) and Cached (a property of the store, not the experiment)
+// — so the line depends only on the point and its deterministic result.
+func RecordOf(o *Outcome, canonical bool) Record {
 	rec := Record{
 		Index:  o.Index,
 		Series: o.Point.Series,
@@ -51,7 +55,7 @@ func recordFor(o *Outcome, canonical bool) Record {
 
 // writeRecord emits one outcome as a JSON line.
 func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
-	buf, err := json.Marshal(recordFor(o, canonical))
+	buf, err := json.Marshal(RecordOf(o, canonical))
 	if err != nil {
 		return fmt.Errorf("exp: encode jsonl record: %w", err)
 	}
@@ -66,4 +70,16 @@ func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
 // use it to reproduce a local campaign's JSONL stream byte for byte.
 func WriteCanonicalRecord(w io.Writer, o *Outcome) error {
 	return writeRecord(w, o, true)
+}
+
+// WriteCanonical emits finished outcomes as canonical JSON lines, in
+// slice order: a whole campaign's canonical stream when outs is in
+// campaign order.
+func WriteCanonical(w io.Writer, outs []Outcome) error {
+	for i := range outs {
+		if err := writeRecord(w, &outs[i], true); err != nil {
+			return err
+		}
+	}
+	return nil
 }

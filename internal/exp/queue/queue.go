@@ -1,6 +1,9 @@
 // Package queue is the coordinator side of dragonsrv's distributed
 // worker fleet: an in-memory, lease-based point queue designed so that
 // any worker can die at any moment and the campaign still completes.
+// It is also the one place that tracks live points: enqueuing a key
+// that already has a live task attaches the new ticket to that task, so
+// concurrent identical points share one execution and one outcome.
 //
 // Enqueued points are handed out in batches under leases — claims with a
 // deadline that the holder must extend by heartbeating. A lease whose
@@ -98,19 +101,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Outcome is what a point's execution produced, delivered to the
-// enqueuer's ticket exactly once.
+// Outcome is what a point's execution produced, delivered to every
+// ticket attached to the point's task exactly once.
 type Outcome struct {
 	Result dragonfly.Result
 	Err    error
 }
 
-// Ticket is the enqueuer's handle on a point: Done receives the outcome
-// exactly once (the channel is buffered, so the queue never blocks on a
-// departed waiter).
+// Delivery is one ticket's outcome, sent on the channel the ticket was
+// enqueued with; Tag is the tag it was enqueued with.
+type Delivery struct {
+	Tag int
+	Outcome
+}
+
+// Ticket is the enqueuer's handle on a point (see Enqueue).
 type Ticket struct {
-	ID   string
-	Done <-chan Outcome
+	ID     string // the task's ID, shared by every attached ticket
+	Joined bool   // attached to a task that was already live
+	t      *task
 }
 
 // Task is one claimable point as handed to a worker.
@@ -134,20 +143,31 @@ type Lease struct {
 type taskState int
 
 const (
-	statePending taskState = iota
+	stateHeld taskState = iota // awaiting its first ticket's Release or Resolve
+	statePending
 	stateLeased
 	stateDone
 )
+
+// waiter is one ticket attached to a task.
+type waiter struct {
+	tag  int
+	done chan<- Delivery
+}
 
 type task struct {
 	id      string
 	key     string
 	cfg     dragonfly.Config
-	done    chan Outcome
+	waiters []waiter
 	state   taskState
 	readyAt time.Time
 	attempt int             // executions started (including the current one)
 	crashed map[string]bool // distinct workers whose lease expired holding it
+}
+
+func (t *task) public() Task {
+	return Task{ID: t.id, Key: t.key, Attempt: t.attempt, Config: t.cfg}
 }
 
 type lease struct {
@@ -171,8 +191,9 @@ type Queue struct {
 	cfg Config
 
 	mu        sync.Mutex
-	pending   []*task // FIFO; entries may carry a future readyAt (backoff)
-	byID      map[string]*task
+	ready     []*task          // claimable, FIFO
+	delayed   []*task          // requeued, claimable from readyAt (backoff)
+	live      map[string]*task // every undelivered task, by key
 	leases    map[string]*lease
 	workers   map[string]*workerState
 	nextTask  int
@@ -194,7 +215,7 @@ type Queue struct {
 func New(cfg Config) *Queue {
 	q := &Queue{
 		cfg:     cfg.withDefaults(),
-		byID:    make(map[string]*task),
+		live:    make(map[string]*task),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerState),
 		wake:    make(chan struct{}),
@@ -233,37 +254,70 @@ func (q *Queue) broadcastLocked() {
 	q.wake = make(chan struct{})
 }
 
-// Enqueue adds a point and returns the ticket its outcome will arrive
-// on. Fails once the queue is draining.
-func (q *Queue) Enqueue(key string, cfg dragonfly.Config) (*Ticket, error) {
+// Enqueue adds a point under its content address and returns its
+// ticket. If key already has a live task, the ticket joins it and
+// receives that task's outcome. Otherwise the ticket holds a new task
+// that is not yet claimable: the enqueuer looks the point up elsewhere
+// and then calls Resolve on a hit or Release on a miss, while identical
+// points enqueued meanwhile join. The outcome arrives as a Delivery
+// tagged tag on done, which must have room for one delivery per ticket
+// enqueued with it: the queue sends while holding its lock. Fails once
+// the queue is draining.
+func (q *Queue) Enqueue(key string, cfg dragonfly.Config, tag int, done chan<- Delivery) (Ticket, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
-		return nil, q.drainErrLocked()
+		return Ticket{}, q.drainErr
+	}
+	w := waiter{tag: tag, done: done}
+	if t := q.live[key]; t != nil {
+		t.waiters = append(t.waiters, w)
+		return Ticket{ID: t.id, Joined: true, t: t}, nil
 	}
 	q.nextTask++
 	t := &task{
-		id:   fmt.Sprintf("t%04d", q.nextTask),
-		key:  key,
-		cfg:  cfg,
-		done: make(chan Outcome, 1),
+		id:      fmt.Sprintf("t%04d", q.nextTask),
+		key:     key,
+		cfg:     cfg,
+		waiters: []waiter{w},
 	}
-	q.byID[t.id] = t
-	q.pending = append(q.pending, t)
+	q.live[key] = t
+	return Ticket{ID: t.id, t: t}, nil
+}
+
+// Release makes the task a non-joined ticket holds claimable. On a
+// draining queue the task fails with the drain cause instead.
+func (q *Queue) Release(tk Ticket) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	t := tk.t
+	if t.state != stateHeld {
+		return
+	}
+	if q.draining {
+		q.finishLocked(t, Outcome{Err: q.drainErr})
+		return
+	}
+	t.state = statePending
+	q.ready = append(q.ready, t)
 	q.broadcastLocked()
-	return &Ticket{ID: t.id, Done: t.done}, nil
 }
 
-func (q *Queue) drainErrLocked() error {
-	if q.drainErr != nil {
-		return q.drainErr
+// Resolve delivers out to every ticket of the task a non-joined ticket
+// holds, without a lease: the enqueuer found the outcome elsewhere (a
+// store hit). Resolved tasks count as neither completed nor failed.
+func (q *Queue) Resolve(tk Ticket, out Outcome) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if tk.t.state == stateHeld {
+		q.deliverLocked(tk.t, out)
 	}
-	return errDraining
 }
 
-// Claim hands out up to max ready points under a new lease. A nil lease
-// with a nil error means no work is ready right now (poll or use
-// WaitClaim). Draining queues refuse claims with the drain cause.
+// Claim hands out up to max ready points under a new lease, oldest
+// first. A nil lease with a nil error means no work is ready right now
+// (poll or use WaitClaim). Draining queues refuse claims with the drain
+// cause.
 func (q *Queue) Claim(worker string, max int, local bool) (*Lease, error) {
 	if max <= 0 {
 		max = 1
@@ -272,23 +326,12 @@ func (q *Queue) Claim(worker string, max int, local bool) (*Lease, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.draining {
-		return nil, q.drainErrLocked()
+		return nil, q.drainErr
 	}
 	q.touchLocked(worker, now)
-	var picked []*task
-	rest := q.pending[:0]
-	for _, t := range q.pending {
-		if len(picked) < max && !t.readyAt.After(now) {
-			picked = append(picked, t)
-		} else {
-			rest = append(rest, t)
-		}
-	}
-	for i := len(rest); i < len(q.pending); i++ {
-		q.pending[i] = nil
-	}
-	q.pending = rest
-	if len(picked) == 0 {
+	q.promoteLocked(now)
+	n := min(max, len(q.ready))
+	if n == 0 {
 		return nil, nil
 	}
 	q.nextLease++
@@ -296,33 +339,51 @@ func (q *Queue) Claim(worker string, max int, local bool) (*Lease, error) {
 		id:       fmt.Sprintf("l%04d", q.nextLease),
 		worker:   worker,
 		local:    local,
-		pending:  make(map[string]*task, len(picked)),
+		pending:  make(map[string]*task, n),
 		finished: make(map[string]bool),
 	}
 	if !local {
 		l.deadline = now.Add(q.cfg.Lease)
 	}
-	out := &Lease{ID: l.id, Worker: worker, Deadline: l.deadline}
-	for _, t := range picked {
+	out := &Lease{ID: l.id, Worker: worker, Deadline: l.deadline, Tasks: make([]Task, n)}
+	for i, t := range q.ready[:n] {
 		t.state = stateLeased
 		t.attempt++
 		l.pending[t.id] = t
-		out.Tasks = append(out.Tasks, Task{ID: t.id, Key: t.key, Attempt: t.attempt, Config: t.cfg})
+		out.Tasks[i] = t.public()
 	}
+	clear(q.ready[:n])
+	q.ready = q.ready[n:]
 	q.leases[l.id] = l
 	return out, nil
 }
 
+// promoteLocked moves requeued tasks whose backoff has elapsed to the
+// back of the ready queue. Only requeued tasks are scanned, so a claim
+// costs O(batch + requeued), not O(queued).
+func (q *Queue) promoteLocked(now time.Time) {
+	kept := q.delayed[:0]
+	for _, t := range q.delayed {
+		if t.readyAt.After(now) {
+			kept = append(kept, t)
+		} else {
+			q.ready = append(q.ready, t)
+		}
+	}
+	clear(q.delayed[len(kept):])
+	q.delayed = kept
+}
+
 // WaitClaim is Claim with patience: when no work is ready it blocks
 // until some arrives, maxWait passes (returning a nil lease), or ctx is
-// done. Draining still fails fast. Wakeups come from enqueues, requeue
+// done. Draining still fails fast. Wakeups come from releases, requeue
 // scans, and drains; backoff-delayed points become claimable within one
 // scan tick of their delay elapsing.
 func (q *Queue) WaitClaim(ctx context.Context, worker string, max int, maxWait time.Duration, local bool) (*Lease, error) {
 	timeout := time.NewTimer(maxWait)
 	defer timeout.Stop()
 	for {
-		// Capture the wake channel before claiming: an enqueue that lands
+		// Capture the wake channel before claiming: a release that lands
 		// after an empty claim closes this very channel, so it cannot be
 		// missed.
 		q.mu.Lock()
@@ -373,8 +434,12 @@ func (q *Queue) Heartbeat(leaseID string) (time.Time, error) {
 // whether the outcome was delivered; a duplicate submission for a task
 // this lease already finished is a no-op (false, nil). Submissions under
 // an expired or unknown lease are discarded with ErrLeaseExpired — the
-// zombie-worker case.
-func (q *Queue) Complete(leaseID, taskID string, out Outcome) (accepted bool, err error) {
+// zombie-worker case. keep, when non-nil, is called with an accepted
+// task and its outcome before the outcome is delivered, outside the
+// queue's lock: the task stays live meanwhile, so whatever keep records
+// (a store Put) is in place before an identical point can be enqueued
+// afresh.
+func (q *Queue) Complete(leaseID, taskID string, out Outcome, keep func(Task, Outcome)) (accepted bool, err error) {
 	now := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -391,29 +456,42 @@ func (q *Queue) Complete(leaseID, taskID string, out Outcome) (accepted bool, er
 	if t == nil {
 		return false, fmt.Errorf("queue: task %s is not part of lease %s", taskID, leaseID)
 	}
+	// Detached from its lease, the task can be neither expired nor
+	// drained, so it is this call's alone to deliver.
 	delete(l.pending, taskID)
 	l.finished[taskID] = true
 	if len(l.pending) == 0 {
 		delete(q.leases, leaseID)
 	}
 	q.workers[l.worker].completed++
-	q.deliverLocked(t, out)
+	if keep != nil {
+		q.mu.Unlock()
+		keep(t.public(), out)
+		q.mu.Lock()
+	}
+	q.finishLocked(t, out)
 	return true, nil
 }
 
-// deliverLocked finishes a task exactly once.
-func (q *Queue) deliverLocked(t *task, out Outcome) {
-	if t.state == stateDone {
-		return
-	}
-	t.state = stateDone
-	delete(q.byID, t.id)
+// finishLocked counts and delivers the outcome of an executed or
+// abandoned task.
+func (q *Queue) finishLocked(t *task, out Outcome) {
 	if out.Err != nil {
 		q.failed++
 	} else {
 		q.completed++
 	}
-	t.done <- out
+	q.deliverLocked(t, out)
+}
+
+// deliverLocked sends out to every ticket attached to t and retires it.
+func (q *Queue) deliverLocked(t *task, out Outcome) {
+	t.state = stateDone
+	delete(q.live, t.key)
+	for _, w := range t.waiters {
+		w.done <- Delivery{Tag: w.tag, Outcome: out}
+	}
+	t.waiters = nil
 }
 
 // expireLocked requeues (or quarantines) the points of every overdue
@@ -437,16 +515,16 @@ func (q *Queue) expireLocked(now time.Time) {
 			q.requeues++
 			switch {
 			case q.draining:
-				q.deliverLocked(t, Outcome{Err: q.drainErrLocked()})
+				q.finishLocked(t, Outcome{Err: q.drainErr})
 			case len(t.crashed) >= q.cfg.PoisonWorkers || t.attempt >= q.cfg.MaxAttempts:
 				q.quarantined++
-				q.deliverLocked(t, Outcome{Err: fmt.Errorf(
+				q.finishLocked(t, Outcome{Err: fmt.Errorf(
 					"%w: crashed %d distinct worker(s) over %d attempt(s): %s",
 					ErrPoison, len(t.crashed), t.attempt, crashers(t.crashed))})
 			default:
 				t.state = statePending
-				t.readyAt = now.Add(q.backoff(t.attempt))
-				q.pending = append(q.pending, t)
+				t.readyAt = now.Add(Backoff(t.attempt-1, q.cfg.BackoffBase, q.cfg.BackoffMax))
+				q.delayed = append(q.delayed, t)
 			}
 		}
 	}
@@ -462,33 +540,38 @@ func crashers(m map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// backoff computes the jittered requeue delay after attempt executions.
-func (q *Queue) backoff(attempt int) time.Duration {
-	d := q.cfg.BackoffBase
-	for i := 1; i < attempt && d < q.cfg.BackoffMax; i++ {
+// Backoff returns the jittered exponential delay before retry n
+// (0-based): base<<n capped at max, then drawn from [d/2, d] so a fleet
+// of retrying clients, workers or requeued points does not move in
+// lockstep.
+func Backoff(n int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 0; i < n && d < max; i++ {
 		d *= 2
 	}
-	if d > q.cfg.BackoffMax {
-		d = q.cfg.BackoffMax
+	if d > max {
+		d = max
 	}
-	// Jitter into [d/2, d] so a fleet's requeues do not thunder back in
-	// lockstep.
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// Drain refuses new enqueues and claims, and fails every point that is
-// not currently leased with cause. Leased points stay collectable:
-// their workers can still heartbeat and submit results; if their lease
-// expires instead, they fail with cause rather than requeue.
+// Drain refuses new enqueues and claims, and fails every claimable
+// point with cause. Leased points stay collectable: their workers can
+// still heartbeat and submit results; if their lease expires instead,
+// they fail with cause rather than requeue. Held points stay with their
+// enqueuer, whose Resolve still delivers and whose Release fails them.
 func (q *Queue) Drain(cause error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.draining = true
 	q.drainErr = cause
-	for _, t := range q.pending {
-		q.deliverLocked(t, Outcome{Err: q.drainErrLocked()})
+	if cause == nil {
+		q.drainErr = errDraining
 	}
-	q.pending = nil
+	for _, t := range append(q.ready, q.delayed...) {
+		q.finishLocked(t, Outcome{Err: q.drainErr})
+	}
+	q.ready, q.delayed = nil, nil
 	q.broadcastLocked()
 }
 
@@ -528,7 +611,7 @@ func (q *Queue) Stats() FleetStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := FleetStats{
-		QueuedPoints:  len(q.pending),
+		QueuedPoints:  len(q.ready) + len(q.delayed),
 		ActiveLeases:  len(q.leases),
 		Completed:     q.completed,
 		Failed:        q.failed,

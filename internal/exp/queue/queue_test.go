@@ -38,25 +38,42 @@ func cfgN(n int) dragonfly.Config {
 	return c
 }
 
-func enqueueN(t *testing.T, q *Queue, n int) []*Ticket {
+// tkt is a test ticket with its own delivery channel.
+type tkt struct {
+	Ticket
+	done chan Delivery
+}
+
+// enqueue enqueues one point and, unless it joined a live task,
+// releases it for claiming.
+func enqueue(t *testing.T, q *Queue, key string, cfg dragonfly.Config) *tkt {
 	t.Helper()
-	tks := make([]*Ticket, n)
+	done := make(chan Delivery, 1)
+	tk, err := q.Enqueue(key, cfg, 0, done)
+	if err != nil {
+		t.Fatalf("enqueue %s: %v", key, err)
+	}
+	if !tk.Joined {
+		q.Release(tk)
+	}
+	return &tkt{tk, done}
+}
+
+func enqueueN(t *testing.T, q *Queue, n int) []*tkt {
+	t.Helper()
+	tks := make([]*tkt, n)
 	for i := range tks {
-		tk, err := q.Enqueue(fmt.Sprintf("key%d", i), cfgN(i))
-		if err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
-		}
-		tks[i] = tk
+		tks[i] = enqueue(t, q, fmt.Sprintf("key%d", i), cfgN(i))
 	}
 	return tks
 }
 
 // waitOutcome receives a ticket's outcome with a test deadline.
-func waitOutcome(t *testing.T, tk *Ticket) Outcome {
+func waitOutcome(t *testing.T, tk *tkt) Outcome {
 	t.Helper()
 	select {
-	case out := <-tk.Done:
-		return out
+	case d := <-tk.done:
+		return d.Outcome
 	case <-time.After(5 * time.Second):
 		t.Fatalf("ticket %s: no outcome within 5s", tk.ID)
 		return Outcome{}
@@ -114,7 +131,7 @@ func TestCompleteDeliversAndDupIsNoop(t *testing.T) {
 	l := claimAll(t, q, "w1", 1)
 
 	want := dragonfly.Result{Delivered: 42}
-	acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: want})
+	acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: want}, nil)
 	if err != nil || !acc {
 		t.Fatalf("complete: accepted=%v err=%v", acc, err)
 	}
@@ -123,7 +140,7 @@ func TestCompleteDeliversAndDupIsNoop(t *testing.T) {
 	}
 	// Lease retired with its last task; a duplicate submission is
 	// discarded as expired, never redelivered.
-	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: want}); acc || !errors.Is(err, ErrLeaseExpired) {
+	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: want}, nil); acc || !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("dup complete after lease retired: accepted=%v err=%v", acc, err)
 	}
 	if st := q.Stats(); st.Completed != 1 || st.LateDiscarded != 1 {
@@ -135,13 +152,13 @@ func TestDupWithinLiveLeaseIsIdempotent(t *testing.T) {
 	q := newTestQueue(t, fastConfig())
 	enqueueN(t, q, 2)
 	l := claimAll(t, q, "w1", 2) // 2 tasks keep the lease alive after the first completes
-	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}); err != nil || !acc {
+	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}, nil); err != nil || !acc {
 		t.Fatalf("first complete: %v %v", acc, err)
 	}
-	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}); err != nil || acc {
+	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}, nil); err != nil || acc {
 		t.Fatalf("dup within live lease: accepted=%v err=%v, want no-op", acc, err)
 	}
-	if _, err := q.Complete(l.ID, "t9999", Outcome{}); err == nil {
+	if _, err := q.Complete(l.ID, "t9999", Outcome{}, nil); err == nil {
 		t.Fatal("foreign task accepted into lease")
 	}
 }
@@ -161,11 +178,11 @@ func TestExpiryRequeuesWithBackoff(t *testing.T) {
 		t.Fatalf("requeued task: %+v, want attempt 2", l2.Tasks[0])
 	}
 	// The zombie's late result is discarded.
-	if acc, err := q.Complete(l.ID, tks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 666}}); acc || !errors.Is(err, ErrLeaseExpired) {
+	if acc, err := q.Complete(l.ID, tks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 666}}, nil); acc || !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("zombie result: accepted=%v err=%v", acc, err)
 	}
 	// The live lease's result wins.
-	if _, err := q.Complete(l2.ID, tks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 7}}); err != nil {
+	if _, err := q.Complete(l2.ID, tks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 7}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out := waitOutcome(t, tks[0]); out.Result.Delivered != 7 {
@@ -194,7 +211,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	if st := q.Stats(); st.ExpiredLeases != 0 || st.Requeues != 0 {
 		t.Fatalf("heartbeated lease expired anyway: %+v", st)
 	}
-	if _, err := q.Complete(l.ID, tks[0].ID, Outcome{}); err != nil {
+	if _, err := q.Complete(l.ID, tks[0].ID, Outcome{}, nil); err != nil {
 		t.Fatalf("complete after heartbeats: %v", err)
 	}
 	if _, err := q.Heartbeat("l9999"); !errors.Is(err, ErrLeaseExpired) {
@@ -267,14 +284,14 @@ func TestDrainFailsPendingCollectsLeased(t *testing.T) {
 	if _, err := q.Claim("w2", 1, false); !errors.Is(err, cause) {
 		t.Fatalf("claim while draining: %v", err)
 	}
-	if _, err := q.Enqueue("late", cfgN(9)); !errors.Is(err, cause) {
+	if _, err := q.Enqueue("late", cfgN(9), 0, make(chan Delivery, 1)); !errors.Is(err, cause) {
 		t.Fatalf("enqueue while draining: %v", err)
 	}
 	// The leased point is still collectable.
 	if _, err := q.Heartbeat(l.ID); err != nil {
 		t.Fatalf("heartbeat while draining: %v", err)
 	}
-	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 1}}); err != nil || !acc {
+	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: dragonfly.Result{Delivered: 1}}, nil); err != nil || !acc {
 		t.Fatalf("collect while draining: %v %v", acc, err)
 	}
 	if out := waitOutcome(t, tks[0]); out.Err != nil || out.Result.Delivered != 1 {
@@ -341,7 +358,7 @@ func TestLocalLeaseNeverExpires(t *testing.T) {
 	if st := q.Stats(); st.ExpiredLeases != 0 {
 		t.Fatalf("local lease expired: %+v", st)
 	}
-	if _, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}); err != nil {
+	if _, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}, nil); err != nil {
 		t.Fatalf("complete local: %v", err)
 	}
 	if out := waitOutcome(t, tks[0]); out.Err != nil {
@@ -364,7 +381,7 @@ func TestStatsWorkers(t *testing.T) {
 	if st.Workers[1].ActivePoints != 1 || st.Workers[1].HeartbeatAgeSeconds > 5 {
 		t.Fatalf("worker wb stats: %+v", st.Workers[1])
 	}
-	if _, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}); err != nil {
+	if _, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := q.Stats(); st.Workers[1].Completed != 1 {
@@ -388,12 +405,14 @@ func TestConcurrencySmoke(t *testing.T) {
 		go func(p int) {
 			defer prod.Done()
 			for i := 0; i < points; i++ {
-				tk, err := q.Enqueue(fmt.Sprintf("p%d-%d", p, i), cfgN(p*points+i))
+				done := make(chan Delivery, 1)
+				tk, err := q.Enqueue(fmt.Sprintf("p%d-%d", p, i), cfgN(p*points+i), 0, done)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				outcomes <- waitOutcome(t, tk)
+				q.Release(tk)
+				outcomes <- waitOutcome(t, &tkt{tk, done})
 			}
 		}(p)
 	}
@@ -411,7 +430,7 @@ func TestConcurrencySmoke(t *testing.T) {
 					continue
 				}
 				for _, task := range l.Tasks {
-					q.Complete(l.ID, task.ID, Outcome{Result: dragonfly.Result{Delivered: 1}}) //nolint:errcheck
+					q.Complete(l.ID, task.ID, Outcome{Result: dragonfly.Result{Delivered: 1}}, nil) //nolint:errcheck
 				}
 			}
 		}(w)
@@ -432,5 +451,228 @@ func TestConcurrencySmoke(t *testing.T) {
 	}
 	if st := q.Stats(); st.Completed != producers*points {
 		t.Fatalf("completed = %d, want %d", st.Completed, producers*points)
+	}
+}
+
+// TestDedupJoinsLiveTask: a key enqueued while its task is live joins
+// that task: one lease, one execution, one outcome for every ticket.
+// keep runs before delivery, and a delivered key is forgotten, so the
+// next enqueue starts a fresh task.
+func TestDedupJoinsLiveTask(t *testing.T) {
+	q := newTestQueue(t, fastConfig())
+	done := make(chan Delivery, 3)
+	first, err := q.Enqueue("k", cfgN(0), 0, done)
+	if err != nil || first.Joined {
+		t.Fatalf("first enqueue: %+v %v", first, err)
+	}
+	// A held task is not claimable, but identical points still join it.
+	if l, _ := q.Claim("w1", 1, false); l != nil {
+		t.Fatalf("held task handed out: %+v", l)
+	}
+	second, err := q.Enqueue("k", cfgN(0), 1, done)
+	if err != nil || !second.Joined || second.ID != first.ID {
+		t.Fatalf("second enqueue: %+v %v, want joined to %s", second, err, first.ID)
+	}
+	q.Release(first)
+	third, _ := q.Enqueue("k", cfgN(0), 2, done) // joins a pending task too
+	if !third.Joined {
+		t.Fatal("enqueue of a pending key did not join")
+	}
+	l := claimAll(t, q, "w1", 10)
+	if len(l.Tasks) != 1 || l.Tasks[0].Key != "k" {
+		t.Fatalf("lease: %+v, want the one task", l.Tasks)
+	}
+
+	var kept []Task
+	keep := func(task Task, out Outcome) {
+		if len(done) != 0 {
+			t.Error("outcome delivered before keep ran")
+		}
+		kept = append(kept, task)
+	}
+	want := dragonfly.Result{Delivered: 5}
+	if acc, err := q.Complete(l.ID, l.Tasks[0].ID, Outcome{Result: want}, keep); !acc || err != nil {
+		t.Fatalf("complete: %v %v", acc, err)
+	}
+	if len(kept) != 1 || kept[0].Key != "k" || kept[0].ID != first.ID {
+		t.Fatalf("keep saw %+v", kept)
+	}
+	tags := map[int]bool{}
+	for range 3 {
+		d := <-done
+		if d.Err != nil || d.Result.Delivered != 5 {
+			t.Fatalf("delivery %+v", d)
+		}
+		tags[d.Tag] = true
+	}
+	if len(tags) != 3 {
+		t.Fatalf("tags delivered: %v", tags)
+	}
+	if st := q.Stats(); st.Completed != 1 {
+		t.Fatalf("completed = %d, want 1 task", st.Completed)
+	}
+
+	again, _ := q.Enqueue("k", cfgN(0), 0, done)
+	if again.Joined || again.ID == first.ID {
+		t.Fatalf("finished task was not forgotten: %+v", again)
+	}
+}
+
+// TestDedupResolveWithoutLease: a held task resolved by its enqueuer (a
+// store hit) delivers to every attached ticket and never reaches a
+// worker or the completion counters.
+func TestDedupResolveWithoutLease(t *testing.T) {
+	q := newTestQueue(t, fastConfig())
+	done := make(chan Delivery, 2)
+	first, _ := q.Enqueue("k", cfgN(0), 0, done)
+	q.Enqueue("k", cfgN(0), 1, done) //nolint:errcheck // joins first
+	q.Resolve(first, Outcome{Result: dragonfly.Result{Delivered: 3}})
+	for range 2 {
+		if d := <-done; d.Result.Delivered != 3 {
+			t.Fatalf("delivery %+v", d)
+		}
+	}
+	q.Release(first) // no-op: already resolved
+	if l, _ := q.Claim("w1", 1, false); l != nil {
+		t.Fatalf("resolved task handed out: %+v", l)
+	}
+	if st := q.Stats(); st.Completed != 0 || st.Failed != 0 || st.QueuedPoints != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestDedupDistinctKeysIndependent: only equal keys share a task.
+func TestDedupDistinctKeysIndependent(t *testing.T) {
+	q := newTestQueue(t, fastConfig())
+	tks := enqueueN(t, q, 4)
+	ids := map[string]bool{}
+	for _, tk := range tks {
+		if tk.Joined {
+			t.Fatalf("distinct key joined: %+v", tk.Ticket)
+		}
+		ids[tk.ID] = true
+	}
+	if l := claimAll(t, q, "w1", 10); len(ids) != 4 || len(l.Tasks) != 4 {
+		t.Fatalf("%d tasks, %d claimed; want 4 each", len(ids), len(l.Tasks))
+	}
+}
+
+// TestDrainHeldTask: a task still held when the queue drains stays with
+// its enqueuer: Release fails every attached ticket with the cause,
+// Resolve still delivers.
+func TestDrainHeldTask(t *testing.T) {
+	cause := errors.New("test: draining")
+	q := newTestQueue(t, fastConfig())
+	done := make(chan Delivery, 3)
+	miss, _ := q.Enqueue("miss", cfgN(0), 0, done)
+	q.Enqueue("miss", cfgN(0), 1, done) //nolint:errcheck // joins miss
+	hit, _ := q.Enqueue("hit", cfgN(1), 2, done)
+	q.Drain(cause)
+	if len(done) != 0 {
+		t.Fatal("drain delivered to held tasks")
+	}
+	q.Release(miss)
+	q.Resolve(hit, Outcome{Result: dragonfly.Result{Delivered: 1}})
+	for range 3 {
+		d := <-done
+		switch d.Tag {
+		case 0, 1:
+			if !errors.Is(d.Err, cause) {
+				t.Fatalf("released-while-draining ticket %d: %v", d.Tag, d.Err)
+			}
+		case 2:
+			if d.Err != nil || d.Result.Delivered != 1 {
+				t.Fatalf("resolved-while-draining ticket: %+v", d)
+			}
+		}
+	}
+}
+
+// TestConcurrentDedup: producers enqueue overlapping keys while workers
+// claim and complete. Every ticket gets exactly one outcome, and no key
+// is ever executing twice at once.
+func TestConcurrentDedup(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Lease = 2 * time.Second // workers here are live, just slow
+	q := newTestQueue(t, cfg)
+
+	const producers, points, keys, workers = 4, 30, 5, 3
+	var (
+		mu      sync.Mutex
+		running = map[string]int{}
+		kept    int64
+	)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var work sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		work.Add(1)
+		go func(w int) {
+			defer work.Done()
+			name := fmt.Sprintf("w%d", w)
+			for ctx.Err() == nil {
+				l, err := q.WaitClaim(ctx, name, 2, 50*time.Millisecond, false)
+				if err != nil || l == nil {
+					continue
+				}
+				for _, task := range l.Tasks {
+					mu.Lock()
+					running[task.Key]++
+					if running[task.Key] > 1 {
+						t.Errorf("key %s executing twice at once", task.Key)
+					}
+					mu.Unlock()
+					q.Complete(l.ID, task.ID, Outcome{Result: dragonfly.Result{Delivered: 1}}, //nolint:errcheck
+						func(task Task, _ Outcome) {
+							mu.Lock()
+							running[task.Key]--
+							kept++
+							mu.Unlock()
+						})
+				}
+			}
+		}(w)
+	}
+	var prod sync.WaitGroup
+	got := make([]int, producers)
+	for p := 0; p < producers; p++ {
+		prod.Add(1)
+		go func(p int) {
+			defer prod.Done()
+			done := make(chan Delivery, points)
+			for i := 0; i < points; i++ {
+				tk, err := q.Enqueue(fmt.Sprintf("k%d", i%keys), cfgN(i%keys), i, done)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !tk.Joined {
+					q.Release(tk)
+				}
+			}
+			for range points {
+				select {
+				case d := <-done:
+					if d.Err != nil || d.Result.Delivered != 1 {
+						t.Errorf("producer %d: delivery %+v", p, d)
+					}
+					got[p]++
+				case <-time.After(5 * time.Second):
+					t.Errorf("producer %d: %d of %d outcomes", p, got[p], points)
+					return
+				}
+			}
+			select {
+			case d := <-done:
+				t.Errorf("producer %d: extra delivery %+v", p, d)
+			default:
+			}
+		}(p)
+	}
+	prod.Wait()
+	cancel()
+	work.Wait()
+	if st := q.Stats(); st.Completed != kept || st.Completed > producers*points {
+		t.Fatalf("completed %d, kept %d", st.Completed, kept)
 	}
 }

@@ -505,6 +505,27 @@ func TestDrainCollectsOutstandingLeases(t *testing.T) {
 	}
 }
 
+// TestDrainClaimKeepsGrantedLease: a claim the queue grants while the
+// server is already draining (the queue itself not yet drained) must
+// reach its worker. Answering 503 would strand the points on a lease
+// nobody holds until it expires.
+func TestDrainClaimKeepsGrantedLease(t *testing.T) {
+	ts := newTestServer(t, Config{SimWorkers: -1, Fleet: fastFleet()})
+	ts.srv.draining.Store(true)
+	cfg := tinyCampaign().Points[0].Config
+	tk, err := ts.srv.queue.Enqueue(ts.srv.store.Key(cfg), cfg, 0, make(chan queue.Delivery, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.srv.queue.Release(tk)
+
+	var grant LeaseGrant
+	status := rawPost(t, ts.http.URL+"/api/v1/leases", claimRequest{Worker: "w1", Max: 1}, &grant)
+	if status != http.StatusOK || grant.ID == "" || len(grant.Points) != 1 || grant.Points[0].Task != tk.ID {
+		t.Fatalf("claim while draining: status %d, grant %+v; want the granted lease", status, grant)
+	}
+}
+
 // TestWorkerJoinsLateCoordinator: a worker started before its
 // coordinator exists keeps backing off and joins once the coordinator
 // comes up — the rejoin half of restart-survival, isolated.

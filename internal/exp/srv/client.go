@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -29,20 +28,6 @@ const (
 	retryBackoff  = 100 * time.Millisecond
 	retryCap      = 3 * time.Second
 )
-
-// backoffDelay returns the jittered exponential delay before retry n
-// (0-based): base<<n capped at max, then drawn from [d/2, d] so a fleet
-// of clients does not reconnect in lockstep.
-func backoffDelay(n int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 0; i < n && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
 
 // sleepCtx sleeps for d; false means ctx expired first.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
@@ -138,7 +123,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, o
 	var lastErr error
 	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
-			if !sleepCtx(ctx, backoffDelay(attempt-1, retryBackoff, retryCap)) {
+			if !sleepCtx(ctx, queue.Backoff(attempt-1, retryBackoff, retryCap)) {
 				return lastErr
 			}
 		}
@@ -282,15 +267,10 @@ func (c *Client) Run(ctx context.Context, camp exp.Campaign, opt exp.Options) ([
 	c.last = st
 	c.mu.Unlock()
 
-	var jsonlErr error
-	if opt.JSONL != nil {
-		for i := range outs {
-			if jsonlErr = exp.WriteCanonicalRecord(opt.JSONL, &outs[i]); jsonlErr != nil {
-				break
-			}
-		}
+	if opt.JSONL == nil {
+		return outs, nil
 	}
-	return outs, jsonlErr
+	return outs, exp.WriteCanonical(opt.JSONL, outs)
 }
 
 // streamAttempts bounds SSE reconnects on transport errors.
@@ -308,7 +288,7 @@ func (c *Client) stream(ctx context.Context, id string, onRecord func(exp.Record
 	var lastErr error
 	for attempt := 0; attempt < streamAttempts; attempt++ {
 		if attempt > 0 {
-			if !sleepCtx(ctx, backoffDelay(attempt-1, retryBackoff, retryCap)) {
+			if !sleepCtx(ctx, queue.Backoff(attempt-1, retryBackoff, retryCap)) {
 				return Status{}, ctx.Err()
 			}
 		}

@@ -93,7 +93,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	l, err := s.queue.WaitClaim(r.Context(), req.Worker, req.Max, wait, false)
 	switch {
-	case errors.Is(err, ErrDraining) || (err == nil && s.draining.Load()):
+	case errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	case err != nil: // worker went away mid-poll
@@ -143,7 +143,7 @@ func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "task %s: result or error required", tr.Task)
 			return
 		}
-		accepted, err := s.queue.Complete(id, tr.Task, out)
+		accepted, err := s.queue.Complete(id, tr.Task, out, s.persist)
 		switch {
 		case errors.Is(err, queue.ErrLeaseExpired):
 			// Zombie: the lease expired and the work was requeued (or

@@ -1,20 +1,25 @@
 // Package srv turns internal/exp into a long-running campaign service:
 // an HTTP/JSON API that accepts campaigns, executes their points on a
 // shared fleet of simulation workers, serves repeated points from a
-// persistent size-bounded result store (exp.Store), deduplicates
-// identical points that are in flight concurrently (exp.Flights),
-// streams per-point progress over SSE, and renders a plain-HTML results
+// persistent size-bounded result store (exp.Store), shares one
+// execution among identical points that are live concurrently, streams
+// per-point progress over SSE, and renders a plain-HTML results
 // browser. Client (client.go) is the matching thin client used by the
 // CLIs' -remote flag; because the engine is deterministic and points are
 // seeded before submission, remote results are interchangeable with —
 // and canonical JSONL streams byte-identical to — local execution.
 //
-// Execution is coordinated through a lease-based point queue
-// (internal/exp/queue): every cache-missing point is enqueued once, and
-// whichever puller claims it first — one of the coordinator's own local
-// sim workers, or a remote dragonsrv -worker process pulling over the
-// lease API (fleet.go) — runs it. Leases expire without heartbeats, so
-// a worker can die at any moment: its points requeue with backoff and
+// The lease-based point queue (internal/exp/queue) is the only place
+// that tracks live points. A campaign is an ordered list of tickets on
+// it: the campaign's executor enqueues every point in campaign order. A
+// point whose key is already live joins that task; otherwise one store
+// lookup either resolves it or releases it to the pullers, and whichever
+// puller claims it first — one of the coordinator's own local sim
+// workers, or a remote dragonsrv -worker process pulling over the lease
+// API (fleet.go) — runs it. Results are Put to the store before the
+// queue delivers them to every attached ticket. Leases expire without
+// heartbeats, so a worker can die at any moment: its points requeue with
+// backoff and
 // the campaign still completes with byte-identical results; points that
 // crash enough distinct workers are quarantined instead of retrying
 // forever (see the queue package for the full lifecycle). Worker
@@ -61,6 +66,10 @@ import (
 // simulations still finish and persist; only unstarted points carry it.
 var ErrDraining = errors.New("srv: server draining, point not started")
 
+// errAborted is every point's error until its outcome arrives; a forced
+// shutdown leaves it on the points it never heard back about.
+var errAborted = errors.New("srv: campaign aborted before the point finished")
+
 // maxBodyBytes bounds a campaign submission body.
 const maxBodyBytes = 64 << 20
 
@@ -81,9 +90,10 @@ type Config struct {
 	// thresholds, requeue backoff). The zero value gets the queue
 	// package's production defaults.
 	Fleet queue.Config
-	// JSONLDir, when non-empty, makes the server mirror each campaign's
-	// canonical JSONL stream to <dir>/<campaign-id>.jsonl as points
-	// finish, so results survive client disconnects and drains.
+	// JSONLDir, when non-empty, makes the server write each campaign's
+	// canonical JSONL stream to <dir>/<campaign-id>.jsonl when the
+	// campaign finishes, so results survive client disconnects and
+	// drains.
 	JSONLDir string
 	// Log, when non-nil, receives operational log lines.
 	Log *log.Logger
@@ -92,13 +102,11 @@ type Config struct {
 // Server is the campaign service. Create with New, expose with Handler,
 // shut down with Drain.
 type Server struct {
-	store      *exp.Store
-	simWorkers int
-	jsonlDir   string
-	logger     *log.Logger
+	store    *exp.Store
+	jsonlDir string
+	logger   *log.Logger
 
 	queue   *queue.Queue
-	flights exp.Flights
 	localWG sync.WaitGroup // local puller goroutines
 
 	draining  atomic.Bool
@@ -135,14 +143,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		store:      cfg.Store,
-		simWorkers: workers,
-		jsonlDir:   cfg.JSONLDir,
-		logger:     cfg.Log,
-		queue:      queue.New(cfg.Fleet),
-		runCtx:     ctx,
-		runCancel:  cancel,
-		campaigns:  make(map[string]*campaign),
+		store:     cfg.Store,
+		jsonlDir:  cfg.JSONLDir,
+		logger:    cfg.Log,
+		queue:     queue.New(cfg.Fleet),
+		runCtx:    ctx,
+		runCancel: cancel,
+		campaigns: make(map[string]*campaign),
 		runSim: func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error) {
 			return dragonfly.RunContext(ctx, cfg)
 		},
@@ -171,8 +178,22 @@ func (s *Server) localPuller() {
 		}
 		for _, t := range l.Tasks {
 			res, err := s.runSim(s.runCtx, t.Config)
-			s.queue.Complete(l.ID, t.ID, queue.Outcome{Result: res, Err: err}) //nolint:errcheck // local leases cannot expire
+			s.queue.Complete(l.ID, t.ID, queue.Outcome{Result: res, Err: err}, s.persist) //nolint:errcheck // local leases cannot expire
 		}
+	}
+}
+
+// persist is the coordinator's one completion path, shared by the
+// local pullers and the lease results endpoint: the queue calls it
+// before delivering an accepted outcome, so a successful result is in
+// the store before its key stops being live.
+func (s *Server) persist(t queue.Task, out queue.Outcome) {
+	if out.Err != nil {
+		return
+	}
+	if err := s.store.Put(t.Key, t.Config, out.Result); err != nil {
+		// The result stands; a broken store surfaces in the log.
+		s.logf("store put %s: %v", t.Key[:12], err)
 	}
 }
 
@@ -221,14 +242,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close aborts everything immediately. Tests use it; production drains.
+// Close aborts everything immediately: a drain whose deadline has
+// already passed. Tests use it; production drains.
 func (s *Server) Close() {
-	s.draining.Store(true)
-	s.queue.Drain(ErrDraining)
-	s.runCancel()
-	s.wg.Wait()
-	s.localWG.Wait()
-	s.queue.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx) //nolint:errcheck // the abort is the point
 }
 
 // campaign is one accepted campaign and its execution state.
@@ -236,15 +255,16 @@ type campaign struct {
 	id      string
 	name    string
 	created time.Time
-	points  []exp.Point
 
 	mu   sync.Mutex
-	cond *sync.Cond // broadcast on every new record and on finish
+	cond *sync.Cond // broadcast on every finished point and on finish
 
-	recs     []exp.Record  // completion-order events (Cached/Seconds live)
-	served   []bool        // per-index: result arrived without its own sim
-	outs     []exp.Outcome // campaign order, set on finish
-	executed int           // simulations this campaign ran
+	// outs holds every point in campaign order: Index and Point are set
+	// at submission, the rest when the point finishes. order lists the
+	// finished indices in completion order, for SSE replay.
+	outs     []exp.Outcome
+	order    []int
+	executed int // simulations this campaign ran
 	fromStore,
 	deduped int
 	finished bool
@@ -260,7 +280,7 @@ type Status struct {
 	Done      int       `json:"done"`
 	Executed  int       `json:"executed"`   // simulations run for this campaign
 	FromStore int       `json:"from_store"` // points served from the persistent store
-	Deduped   int       `json:"deduped"`    // points that joined another caller's in-flight sim
+	Deduped   int       `json:"deduped"`    // points that joined a live identical point's execution
 	Finished  bool      `json:"finished"`
 	Error     string    `json:"error,omitempty"`
 }
@@ -270,8 +290,8 @@ func (c *campaign) statusLocked() Status {
 		ID:        c.id,
 		Name:      c.name,
 		Created:   c.created,
-		Total:     len(c.points),
-		Done:      len(c.recs),
+		Total:     len(c.outs),
+		Done:      len(c.order),
 		Executed:  c.executed,
 		FromStore: c.fromStore,
 		Deduped:   c.deduped,
@@ -286,43 +306,47 @@ func (c *campaign) status() Status {
 	return c.statusLocked()
 }
 
-// record appends one finished point's event and wakes SSE streams.
-// Called serially by exp.Run's progress path.
-func (c *campaign) record(o exp.Outcome) {
+// source is how a campaign's point was resolved when it was enqueued.
+type source int
+
+const (
+	queued source = iota // released to the pullers
+	joined               // attached to a live identical point
+	stored               // served from the store
+)
+
+// record stores one point's outcome and wakes SSE streams. Seconds
+// runs from the campaign's start to the outcome, queue wait included.
+func (c *campaign) record(d queue.Delivery, how source, elapsed time.Duration) {
 	c.mu.Lock()
-	o.Cached = o.Cached || c.served[o.Index]
-	rec := exp.Record{
-		Index:   o.Index,
-		Series:  o.Point.Series,
-		X:       o.Point.X,
-		Cached:  o.Cached,
-		Seconds: o.Seconds,
-		Config:  o.Point.Config,
+	defer c.mu.Unlock()
+	o := &c.outs[d.Tag]
+	o.Result, o.Err, o.Seconds = d.Result, d.Err, elapsed.Seconds()
+	switch {
+	case how == stored:
+		c.fromStore++
+		o.Cached = true
+	case how == joined:
+		if d.Err == nil {
+			c.deduped++
+			o.Cached = true
+		}
+	case !errors.Is(d.Err, ErrDraining): // drained points never started
+		c.executed++
 	}
-	if o.Err != nil {
-		rec.Error = o.Err.Error()
-	} else {
-		res := o.Result
-		rec.Result = &res
-	}
-	c.recs = append(c.recs, rec)
+	c.order = append(c.order, d.Tag)
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
-// finish publishes the final outcomes and wakes everyone waiting.
-func (c *campaign) finish(outs []exp.Outcome, err error) {
+// finish publishes the campaign's end and wakes everyone waiting.
+func (c *campaign) finish(err error) {
 	c.mu.Lock()
-	for i := range outs {
-		outs[i].Cached = outs[i].Cached || c.served[i]
-	}
-	c.outs = outs
-	c.finished = true
+	defer c.mu.Unlock()
 	if err != nil {
 		c.errMsg = err.Error()
 	}
+	c.finished = true
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // waitFinished blocks until the campaign finished or ctx expired.
@@ -344,102 +368,78 @@ func (c *campaign) waitFinished(ctx context.Context) ([]exp.Outcome, bool) {
 	return c.outs, true
 }
 
-// campaignPool bounds each campaign executor's in-flight points. These
-// goroutines only wait on the queue (the actual simulation concurrency
-// is bounded by the local pullers plus whatever the fleet claims), so
-// the pool is wide enough to keep a fleet of remote workers fed.
-const campaignPool = 128
-
-// start launches the campaign executor.
+// start launches the campaign executor. It enqueues every point in
+// campaign order: a point that joins a live identical one waits for its
+// outcome; otherwise one store lookup resolves the new task or releases
+// it to the pullers. It then records outcomes as they arrive, finishes
+// the campaign and writes the JSONL mirror. Only a forced abort
+// (runCtx) finishes it before every outcome is in.
 func (s *Server) start(c *campaign) {
 	go func() {
 		defer s.wg.Done()
-		eopt := exp.Options{
-			Workers:        campaignPool,
-			CanonicalJSONL: true,
-			Run: func(_ context.Context, i int, p exp.Point) (dragonfly.Result, error) {
-				return s.runPoint(c, i, p)
-			},
-			Progress: func(pr exp.Progress) { c.record(pr.Outcome) },
+		begin := time.Now()
+		// One delivery per ticket, so the queue never blocks sending.
+		done := make(chan queue.Delivery, len(c.outs))
+		how := make([]source, len(c.outs))
+		for i := range c.outs {
+			cfg := c.outs[i].Point.Config
+			key := s.store.Key(cfg)
+			tk, err := s.queue.Enqueue(key, cfg, i, done)
+			switch {
+			case err != nil: // draining
+				done <- queue.Delivery{Tag: i, Outcome: queue.Outcome{Err: err}}
+			case tk.Joined:
+				how[i] = joined
+			default:
+				if res, ok := s.store.Get(key); ok {
+					how[i] = stored
+					s.queue.Resolve(tk, queue.Outcome{Result: res})
+				} else {
+					s.queue.Release(tk)
+				}
+			}
 		}
-		var jsonl *os.File
+		var err error
+	collect:
+		for range c.outs {
+			select {
+			case d := <-done:
+				c.record(d, how[d.Tag], time.Since(begin))
+			case <-s.runCtx.Done():
+				err = s.runCtx.Err()
+				break collect
+			}
+		}
+		c.finish(err)
+		// outs no longer change, so the mirror reads them unlocked.
 		if s.jsonlDir != "" {
-			f, err := os.Create(filepath.Join(s.jsonlDir, c.id+".jsonl"))
-			if err != nil {
-				s.logf("campaign %s: jsonl: %v", c.id, err)
-			} else {
-				jsonl = f
-				eopt.JSONL = f
+			if err := s.writeMirror(c); err != nil {
+				s.logf("campaign %s: jsonl mirror: %v", c.id, err)
 			}
 		}
-		outs, err := exp.Run(s.runCtx, exp.Campaign{Name: c.name, Points: c.points}, eopt)
-		if jsonl != nil {
-			if cerr := jsonl.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		c.finish(outs, err)
 		st := c.status()
 		s.logf("campaign %s (%s) finished: %d points, %d simulated, %d from store, %d deduped",
 			c.id, c.name, st.Total, st.Executed, st.FromStore, st.Deduped)
 	}()
 }
 
-// runPoint resolves one point: store lookup, in-flight dedup, then — if
-// nobody else has or is computing it — one pass through the lease
-// queue, where a local puller or a remote worker executes it, and the
-// result persists to the store. The store lookup happens inside the
-// flight so concurrent identical points cost one lookup and the
-// hit/miss counters stay exact.
-func (s *Server) runPoint(c *campaign, idx int, p exp.Point) (dragonfly.Result, error) {
-	key := s.store.Key(p.Config)
-	var ranSim bool
-	res, leader, err := s.flights.Do(s.runCtx, key, func() (dragonfly.Result, error) {
-		if res, ok := s.store.Get(key); ok {
-			return res, nil
-		}
-		if s.draining.Load() {
-			return dragonfly.Result{}, ErrDraining
-		}
-		tk, err := s.queue.Enqueue(key, p.Config)
-		if err != nil { // drain raced the check above
-			return dragonfly.Result{}, ErrDraining
-		}
-		select {
-		case out := <-tk.Done:
-			// A point drained out of the queue never started simulating;
-			// everything else — success, sim error, quarantine — did.
-			ranSim = !errors.Is(out.Err, ErrDraining)
-			if out.Err != nil {
-				return dragonfly.Result{}, out.Err
-			}
-			if perr := s.store.Put(key, p.Config, out.Result); perr != nil {
-				// The result stands; a broken store surfaces in the log.
-				s.logf("store put %s: %v", key[:12], perr)
-			}
-			return out.Result, nil
-		case <-s.runCtx.Done():
-			return dragonfly.Result{}, s.runCtx.Err()
-		}
-	})
-	c.mu.Lock()
-	switch {
-	case leader && ranSim:
-		c.executed++
-	case err == nil:
-		if leader {
-			c.fromStore++
-		} else {
-			c.deduped++
-		}
-		c.served[idx] = true
+// writeMirror writes the campaign's canonical JSONL to the mirror
+// directory.
+func (s *Server) writeMirror(c *campaign) error {
+	f, err := os.Create(filepath.Join(s.jsonlDir, c.id+".jsonl"))
+	if err != nil {
+		return err
 	}
-	c.mu.Unlock()
-	return res, err
+	if err := exp.WriteCanonical(f, c.outs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-// submit registers and starts a campaign. Returns nil while draining.
-func (s *Server) submit(name string, points []exp.Point) *campaign {
+// submit registers and starts a campaign of unfinished outcomes (see
+// errAborted). Returns nil while draining.
+func (s *Server) submit(name string, outs []exp.Outcome) *campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining.Load() {
@@ -450,8 +450,7 @@ func (s *Server) submit(name string, points []exp.Point) *campaign {
 		id:      fmt.Sprintf("c%04d", s.nextID),
 		name:    name,
 		created: time.Now().UTC(),
-		points:  points,
-		served:  make([]bool, len(points)),
+		outs:    outs,
 	}
 	c.cond = sync.NewCond(&c.mu)
 	s.campaigns[c.id] = c
@@ -532,31 +531,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "campaign has no points")
 		return
 	}
-	points := make([]exp.Point, len(req.Points))
+	outs := make([]exp.Outcome, len(req.Points))
 	for i, wp := range req.Points {
 		if err := wp.Config.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "point %d: %v", i, err)
 			return
 		}
-		points[i] = exp.Point{Series: wp.Series, X: wp.X, Config: wp.Config}
+		outs[i] = exp.Outcome{Index: i, Point: exp.Point{Series: wp.Series, X: wp.X, Config: wp.Config}, Err: errAborted}
 	}
-	c := s.submit(req.Name, points)
+	c := s.submit(req.Name, outs)
 	if c == nil {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	s.logf("campaign %s (%s): accepted, %d points", c.id, c.name, len(points))
-	writeJSON(w, http.StatusCreated, submitResponse{ID: c.id, Total: len(points)})
+	s.logf("campaign %s (%s): accepted, %d points", c.id, c.name, len(outs))
+	writeJSON(w, http.StatusCreated, submitResponse{ID: c.id, Total: len(outs)})
+}
+
+// statuses lists every campaign's status in submission order.
+func (s *Server) statuses() []Status {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sts := make([]Status, len(s.order))
+	for i, id := range s.order {
+		sts[i] = s.campaigns[id].status()
+	}
+	return sts
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]Status, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.campaigns[id].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statuses)
+	writeJSON(w, http.StatusOK, s.statuses())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -611,8 +615,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	next := 0
 	c.mu.Lock()
 	for {
-		for next < len(c.recs) {
-			rec := c.recs[next]
+		for next < len(c.order) {
+			rec := exp.RecordOf(&c.outs[c.order[next]], false)
 			next++
 			c.mu.Unlock()
 			if err := emit("point", rec); err != nil {
@@ -653,23 +657,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return // client went away
 	}
-	recs := make([]exp.Record, 0, len(outs))
+	recs := make([]exp.Record, len(outs))
 	for i := range outs {
-		o := &outs[i]
-		rec := exp.Record{
-			Index:   o.Index,
-			Series:  o.Point.Series,
-			X:       o.Point.X,
-			Cached:  o.Cached,
-			Seconds: o.Seconds,
-			Config:  o.Point.Config,
-		}
-		if o.Err != nil {
-			rec.Error = o.Err.Error()
-		} else {
-			rec.Result = &o.Result
-		}
-		recs = append(recs, rec)
+		recs[i] = exp.RecordOf(&outs[i], false)
 	}
 	writeJSON(w, http.StatusOK, recs)
 }
@@ -685,11 +675,7 @@ func (s *Server) handleResultsJSONL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for i := range outs {
-		if err := exp.WriteCanonicalRecord(w, &outs[i]); err != nil {
-			return
-		}
-	}
+	exp.WriteCanonical(w, outs) //nolint:errcheck // client went away
 }
 
 // storeResponse is GET /api/v1/store's payload: the store counters

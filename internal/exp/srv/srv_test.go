@@ -139,16 +139,17 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalCampaignsShareSimulations: two tenants
-// submitting the same campaign concurrently must not double-simulate —
-// every point runs once, the other tenant's copy is deduped in flight
-// or served from the store.
+// TestConcurrentIdenticalCampaignsShareSimulations: tenants submitting
+// the same campaign concurrently must not double-simulate — every point
+// runs once, the other tenants' copies join it in the queue or are
+// served from the store.
 func TestConcurrentIdenticalCampaignsShareSimulations(t *testing.T) {
 	var sims atomic.Int64
+	release := make(chan struct{})
 	ts := newTestServer(t, Config{SimWorkers: 4})
 	ts.srv.runSim = func(ctx context.Context, cfg dragonfly.Config) (dragonfly.Result, error) {
 		sims.Add(1)
-		time.Sleep(30 * time.Millisecond) // hold flights open so tenants overlap
+		<-release // hold every point live until all tenants have submitted
 		return dragonfly.Result{Mechanism: cfg.Mechanism.String(), OfferedLoad: cfg.Load, Delivered: 1}, nil
 	}
 	camp := tinyCampaign()
@@ -163,6 +164,12 @@ func TestConcurrentIdenticalCampaignsShareSimulations(t *testing.T) {
 			_, errs[i] = ts.client.Run(context.Background(), camp, exp.Options{SeedBase: 42})
 		}(i)
 	}
+	waitFor(t, func() bool {
+		ts.srv.mu.Lock()
+		defer ts.srv.mu.Unlock()
+		return len(ts.srv.order) == tenants
+	})
+	close(release)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

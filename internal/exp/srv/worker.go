@@ -16,6 +16,7 @@ import (
 
 	dragonfly "repro"
 	"repro/internal/exp"
+	"repro/internal/exp/queue"
 )
 
 // Worker is the puller side of the fleet protocol: it claims leases
@@ -148,7 +149,7 @@ func (wk *Worker) pull(ctx context.Context) {
 			// stampede a coordinator that just came back.
 			fails++
 			wk.logf("claim failed (attempt %d): %v", fails, err)
-			if !sleepCtx(ctx, backoffDelay(fails-1, retryBackoff, retryCap)) {
+			if !sleepCtx(ctx, queue.Backoff(fails-1, retryBackoff, retryCap)) {
 				return
 			}
 			continue
@@ -249,7 +250,7 @@ func (wk *Worker) submit(ctx context.Context, leaseID string, tr TaskResult) boo
 			wk.logf("lease %s: giving up submitting %s: %v", leaseID, tr.Task, err)
 			return false // lease expires, work requeues
 		}
-		if !sleepCtx(ctx, backoffDelay(attempt, retryBackoff, retryCap)) {
+		if !sleepCtx(ctx, queue.Backoff(attempt, retryBackoff, retryCap)) {
 			return false
 		}
 	}

@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	dragonfly "repro"
 )
@@ -236,106 +233,5 @@ func TestCacheConcurrentSameKeyWriters(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Key != key {
 		t.Fatalf("directory holds %d entries, want exactly the racing key", len(entries))
-	}
-}
-
-func TestFlightsDedup(t *testing.T) {
-	var g Flights
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var leaders, calls atomic.Int64
-	fn := func() (dragonfly.Result, error) {
-		if calls.Add(1) == 1 {
-			close(started)
-		}
-		<-release
-		return dragonfly.Result{Delivered: 7}, nil
-	}
-
-	const callers = 8
-	var wg sync.WaitGroup
-	results := make([]dragonfly.Result, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, leader, err := g.Do(context.Background(), "k", fn)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-			if leader {
-				leaders.Add(1)
-			}
-			results[i] = res
-		}(i)
-	}
-	// The leader holds the flight open until release, so give the other
-	// callers time to pile onto it, then let it finish.
-	<-started
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d executions for one key, want 1", got)
-	}
-	if got := leaders.Load(); got != 1 {
-		t.Fatalf("%d leaders, want 1", got)
-	}
-	for i, res := range results {
-		if res.Delivered != 7 {
-			t.Fatalf("caller %d got %+v", i, res)
-		}
-	}
-
-	// The flight is forgotten: a fresh Do executes again.
-	_, leader, _ := g.Do(context.Background(), "k", func() (dragonfly.Result, error) {
-		calls.Add(1)
-		return dragonfly.Result{}, nil
-	})
-	if !leader || calls.Load() != 2 {
-		t.Fatal("finished flight was not forgotten")
-	}
-}
-
-func TestFlightsWaiterHonorsContext(t *testing.T) {
-	var g Flights
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go g.Do(context.Background(), "k", func() (dragonfly.Result, error) {
-		close(started)
-		<-release
-		return dragonfly.Result{}, nil
-	})
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, leader, err := g.Do(ctx, "k", func() (dragonfly.Result, error) {
-		return dragonfly.Result{}, fmt.Errorf("waiter must not execute")
-	})
-	if leader || err != context.Canceled {
-		t.Fatalf("canceled waiter: leader=%v err=%v", leader, err)
-	}
-	close(release)
-}
-
-func TestFlightsDistinctKeysRunIndependently(t *testing.T) {
-	var g Flights
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g.Do(context.Background(), fmt.Sprintf("k%d", i), func() (dragonfly.Result, error) {
-				calls.Add(1)
-				return dragonfly.Result{}, nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	if calls.Load() != 4 {
-		t.Fatalf("%d executions, want 4", calls.Load())
 	}
 }
