@@ -1,6 +1,6 @@
 // Command dfsweep runs an offered-load sweep for a set of mechanisms and
 // prints the latency/throughput series as a gnuplot-style .dat stream or a
-// markdown table. Points run concurrently on internal/exp's worker pool;
+// markdown table. Points run concurrently on internal/exp's local pullers;
 // Ctrl-C cancels the sweep mid-point.
 //
 // Example:
@@ -84,9 +84,9 @@ func main() {
 		opt.Remote = client
 	}
 	if *cacheDir != "" && *remote == "" {
-		cache, err := exp.OpenCache(*cacheDir)
+		store, err := exp.OpenStore(*cacheDir, 0)
 		fatalIf(err)
-		opt.Cache = cache
+		opt.Cache = store
 	}
 	if *jsonlOut != "" {
 		jf, err := os.Create(*jsonlOut)
@@ -129,8 +129,8 @@ func main() {
 		fatalIf(fmt.Errorf("unknown format %q", *format))
 	}
 	if opt.Cache != nil {
-		hits, misses := opt.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", hits, misses)
+		st := opt.Cache.Stats()
+		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", st.Hits, st.Misses)
 	}
 	if client != nil {
 		st := client.LastStatus()

@@ -1,7 +1,7 @@
 // Command paperfigs regenerates the data behind every figure of the
 // paper's evaluation (Figures 4-11) plus Table I, writing one .dat file
 // per figure panel and a markdown summary. All points of a figure run
-// concurrently on internal/exp's worker pool; with -cache, an interrupted
+// concurrently on internal/exp's local pullers; with -cache, an interrupted
 // or repeated regeneration re-simulates only the points it is missing.
 //
 // The paper's experiments run at h=8 (16,512 nodes); the default here is a
@@ -90,9 +90,9 @@ func main() {
 		e.opt.Remote = client
 	}
 	if *cacheDir != "" && *remote == "" {
-		cache, err := exp.OpenCache(*cacheDir)
+		store, err := exp.OpenStore(*cacheDir, 0)
 		fatalIf(err)
-		e.opt.Cache = cache
+		e.opt.Cache = store
 	}
 	if *jsonlOut != "" {
 		jf, err := os.Create(*jsonlOut)
@@ -159,8 +159,8 @@ func main() {
 	fatalIf(os.WriteFile(sumPath, []byte(e.summary.String()), 0o644))
 	fmt.Println("summary written to", sumPath)
 	if e.opt.Cache != nil {
-		hits, misses := e.opt.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", hits, misses)
+		st := e.opt.Cache.Stats()
+		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses\n", st.Hits, st.Misses)
 	}
 	if client != nil {
 		if st, err := client.StoreStats(ctx); err == nil {
@@ -385,10 +385,9 @@ func (e *env) figTransient(ctx context.Context, mechs []dragonfly.Mechanism, loa
 
 	camp := exp.NewMatrix(base).Mechanisms(mechs...).Campaign("transient")
 	eopt := exp.Options{
-		Workers:        e.opt.Parallelism,
-		Cache:          e.opt.Cache,
-		JSONL:          e.opt.JSONL,
-		CanonicalJSONL: true,
+		Workers: e.opt.Parallelism,
+		Cache:   e.opt.Cache,
+		JSONL:   e.opt.JSONL,
 	}
 	if e.opt.Progress != nil {
 		progress := e.opt.Progress
@@ -547,7 +546,7 @@ func (e *env) figResilience(mechs []dragonfly.Mechanism, load float64) error {
 // short enough that h=16 stays in minutes: these are engine-throughput
 // curves, not mechanism results, and 800 cycles of a quarter-million-node
 // network average over plenty of work. Each point is timed one at a time
-// (never through the worker pool) and reports the fastest of two runs.
+// (never through exp.Run) and reports the fastest of two runs.
 func (e *env) figScaling(ctx context.Context) error {
 	hs := []int{2, 4, dragonfly.PaperH, dragonfly.ScaleH12, dragonfly.ScaleH16}
 	workerSet := []int{1, 2, 4, 8}

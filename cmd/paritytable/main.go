@@ -4,7 +4,7 @@
 // and contrasts it with the rejected sign-only restriction.
 //
 // With -sim, it backs the structural claims empirically: a small campaign
-// on internal/exp's worker pool runs RLM against the sign-only ablation
+// through internal/exp runs RLM against the sign-only ablation
 // under the ADVL+1 pattern — the regime where route balance matters most
 // (paper Section III-B) — and reports throughput, misrouting and the
 // deadlock watchdog's verdict for each.

@@ -125,7 +125,7 @@ func TestPartitionedFaultConfigRejected(t *testing.T) {
 // and shuffled event order must hash to the same cache key, and an empty
 // spec must hash like no spec at all.
 func TestFaultCanonicalization(t *testing.T) {
-	cache := &exp.Cache{}
+	var cache exp.Store // Key reads no store state
 	base := fast(dragonfly.OLM)
 	base.Load = 0.3
 
@@ -239,7 +239,7 @@ func TestFaultCanonicalFixedPoint(t *testing.T) {
 	if !reflect.DeepEqual(once, twice) {
 		t.Fatalf("Canonical is not a fixed point:\nonce:  %+v\ntwice: %+v", once.Faults, twice.Faults)
 	}
-	cache := &exp.Cache{}
+	var cache exp.Store
 	if cache.Key(cfg) != cache.Key(once) {
 		t.Fatal("a config and its canonical form hash differently")
 	}

@@ -2,7 +2,6 @@ package dragonfly_test
 
 // Headline shape tests: the paper's qualitative results, asserted at
 // reduced scale (h=3, shortened link latencies) with generous margins.
-// EXPERIMENTS.md tracks the quantitative reproduction at larger scale.
 
 import (
 	"testing"

@@ -25,18 +25,17 @@ func syntheticRun(ctx context.Context, index int, p Point) (dragonfly.Result, er
 
 // TestCanonicalJSONLByteStable pins the property the remote client
 // relies on: the canonical stream is byte-identical across worker
-// counts and across cold/warm cache states.
+// counts and across cold/warm store states.
 func TestCanonicalJSONLByteStable(t *testing.T) {
 	camp := tinyCampaign()
-	runOnce := func(workers int, cache *Cache) []byte {
+	runOnce := func(workers int, store *Store) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		_, err := Run(context.Background(), camp, Options{
-			Workers:        workers,
-			JSONL:          &buf,
-			CanonicalJSONL: true,
-			Cache:          cache,
-			Run:            syntheticRun,
+			Workers: workers,
+			JSONL:   &buf,
+			Cache:   store,
+			Run:     syntheticRun,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,17 +49,14 @@ func TestCanonicalJSONLByteStable(t *testing.T) {
 		t.Fatal("canonical JSONL differs across worker counts")
 	}
 
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := runOnce(3, cache)
-	warm := runOnce(3, cache)
+	store := mustStore(t, t.TempDir(), 0)
+	cold := runOnce(3, store)
+	warm := runOnce(3, store)
 	if !bytes.Equal(cold, serial) {
-		t.Fatal("canonical JSONL differs with a cold cache")
+		t.Fatal("canonical JSONL differs with a cold store")
 	}
 	if !bytes.Equal(warm, serial) {
-		t.Fatal("canonical JSONL differs with a warm cache (Cached leaked in)")
+		t.Fatal("canonical JSONL differs with a warm store (Cached leaked in)")
 	}
 
 	// Lines are in campaign order with the volatile fields zeroed.
@@ -93,9 +89,8 @@ func TestCanonicalJSONLPrefixOnCancel(t *testing.T) {
 	var ran atomic.Int64
 	var buf bytes.Buffer
 	_, err := Run(ctx, camp, Options{
-		Workers:        2,
-		JSONL:          &buf,
-		CanonicalJSONL: true,
+		Workers: 2,
+		JSONL:   &buf,
 		Run: func(ctx context.Context, index int, p Point) (dragonfly.Result, error) {
 			if ran.Add(1) == 2 {
 				cancel()

@@ -1,22 +1,28 @@
 // Package exp is the experiment orchestrator: it executes a declarative
 // campaign — an ordered list of dragonfly.Config points produced by
-// composable matrix builders — on a bounded worker pool with deterministic
-// per-point seeding, structured progress reporting, streaming JSONL result
-// output, cooperative cancellation and an optional content-addressed
-// result cache keyed on the canonical configuration and the engine's
-// results version, so re-runs and resumed campaigns skip completed points.
+// composable matrix builders — with deterministic per-point seeding,
+// structured progress reporting, canonical JSONL result output,
+// cooperative cancellation and an optional content-addressed result
+// store (Store) keyed on the canonical configuration and the engine's
+// results version, so re-runs and resumed campaigns skip completed
+// points.
 //
-// Each point is an independent, deterministic simulation, so campaign
-// results are bit-identical for any pool size; the across-point
-// parallelism here composes with the engine's intra-simulation workers and
-// is the better use of cores for the common small-h points.
+// A campaign runs one way, locally or on dragonsrv: its points go, in
+// campaign order, onto a lease queue (internal/exp/queue) that local
+// pullers — and on the daemon, remote workers — drain. Identical points
+// with a store share one execution, and every fresh result is stored
+// before it is delivered. Each point is an independent, deterministic
+// simulation, so campaign results are bit-identical for any number of
+// pullers; the across-point parallelism here composes with the engine's
+// intra-simulation workers and is the better use of cores for the
+// common small-h points.
 //
 //	points := exp.NewMatrix(base).
 //		Mechanisms(dragonfly.RLM, dragonfly.OLM).
 //		Loads(0.1, 0.5, 0.9).
 //		Points()
 //	outs, err := exp.Run(ctx, exp.Campaign{Name: "fig5", Points: points},
-//		exp.Options{Workers: 8, Cache: cache, JSONL: w})
+//		exp.Options{Workers: 8, Cache: store, JSONL: w})
 package exp
 
 import (
@@ -36,7 +42,8 @@ type Point struct {
 }
 
 // Campaign is an ordered list of points. The order is the order outcomes
-// are returned in; execution order is whatever the pool gets to first.
+// are returned in and points are queued in; execution order is whatever
+// the pullers get to first.
 type Campaign struct {
 	Name   string
 	Points []Point
@@ -49,10 +56,11 @@ type Outcome struct {
 	Index  int
 	Point  Point
 	Result dragonfly.Result
-	// Cached reports the result came from the cache; no simulation ran.
+	// Cached reports the result came from the store, or from an
+	// identical point's execution; this point ran no simulation.
 	Cached bool
-	// Seconds is the wall-clock time spent producing the result
-	// (zero-ish for cache hits; see Record for served points).
+	// Seconds is the wall-clock time from the campaign's start to this
+	// point's outcome, queue wait included.
 	Seconds float64
 	Err     error
 }

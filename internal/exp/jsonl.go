@@ -8,17 +8,15 @@ import (
 	dragonfly "repro"
 )
 
-// Record is the JSONL line emitted per finished point. Lines stream in
-// completion order (Index recovers campaign order) and each line is
+// Record is the JSONL line of one finished point. Each line is
 // self-contained — config included — so a .jsonl file fully describes a
 // campaign and can be filtered, resumed from, or re-plotted on its own.
-// Under Options.CanonicalJSONL lines are instead emitted in campaign
-// order with Cached and Seconds zeroed, making the whole stream a
-// deterministic function of the campaign (see that option's doc).
+// JSONL files hold canonical records (see RecordOf), in campaign order,
+// so the whole stream is a deterministic function of the campaign;
+// dragonsrv's progress events and results API carry the full records.
 //
-// Seconds is Outcome.Seconds: for exp.Run the time from dispatch to
-// result, for a point served by dragonsrv the time from its campaign's
-// start to the result, queue wait included.
+// Seconds is Outcome.Seconds: the time from the campaign's start to the
+// point's outcome, queue wait included.
 type Record struct {
 	Index   int               `json:"index"`
 	Series  string            `json:"series"`
@@ -53,9 +51,10 @@ func RecordOf(o *Outcome, canonical bool) Record {
 	return rec
 }
 
-// writeRecord emits one outcome as a JSON line.
-func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
-	buf, err := json.Marshal(RecordOf(o, canonical))
+// WriteCanonicalRecord emits one outcome as a canonical JSON line — the
+// same bytes Options.JSONL receives for it.
+func WriteCanonicalRecord(w io.Writer, o *Outcome) error {
+	buf, err := json.Marshal(RecordOf(o, true))
 	if err != nil {
 		return fmt.Errorf("exp: encode jsonl record: %w", err)
 	}
@@ -65,19 +64,12 @@ func writeRecord(w io.Writer, o *Outcome, canonical bool) error {
 	return nil
 }
 
-// WriteCanonicalRecord emits one outcome as a canonical JSON line — the
-// same bytes Options.CanonicalJSONL would emit for it. Remote clients
-// use it to reproduce a local campaign's JSONL stream byte for byte.
-func WriteCanonicalRecord(w io.Writer, o *Outcome) error {
-	return writeRecord(w, o, true)
-}
-
 // WriteCanonical emits finished outcomes as canonical JSON lines, in
 // slice order: a whole campaign's canonical stream when outs is in
 // campaign order.
 func WriteCanonical(w io.Writer, outs []Outcome) error {
 	for i := range outs {
-		if err := writeRecord(w, &outs[i], true); err != nil {
+		if err := WriteCanonicalRecord(w, &outs[i]); err != nil {
 			return err
 		}
 	}

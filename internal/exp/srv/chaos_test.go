@@ -46,7 +46,7 @@ func serialBaseline(t *testing.T, camp exp.Campaign) ([]exp.Outcome, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	outs, err := exp.Run(context.Background(), camp, exp.Options{
-		Workers: 1, SeedBase: 42, JSONL: &buf, CanonicalJSONL: true,
+		Workers: 1, SeedBase: 42, JSONL: &buf,
 	})
 	if err != nil {
 		t.Fatal(err)

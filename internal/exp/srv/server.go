@@ -107,7 +107,8 @@ type Server struct {
 	logger   *log.Logger
 
 	queue   *queue.Queue
-	localWG sync.WaitGroup // local puller goroutines
+	persist func(queue.Task, queue.Outcome) // the queue's completion hook: Put to the store
+	localWG sync.WaitGroup                  // local puller goroutines
 
 	draining  atomic.Bool
 	runCtx    context.Context // canceled only when a drain deadline forces abort
@@ -154,47 +155,26 @@ func New(cfg Config) (*Server, error) {
 			return dragonfly.RunContext(ctx, cfg)
 		},
 	}
+	// One completion path, shared by the local pullers and the lease
+	// results endpoint; the result stands if the Put fails, and a broken
+	// store surfaces in the log.
+	s.persist = exp.Persist(s.store, func(t queue.Task, err error) {
+		s.logf("store put %s: %v", t.Key[:12], err)
+	})
+	// The coordinator's own simulation workers pull from the same queue
+	// as remote workers, so local capacity and the fleet share one
+	// dispatch order and never duplicate work.
+	run := func(ctx context.Context, t queue.Task) (dragonfly.Result, error) {
+		return s.runSim(ctx, t.Config)
+	}
 	for i := 0; i < workers; i++ {
 		s.localWG.Add(1)
-		go s.localPuller()
+		go func() {
+			defer s.localWG.Done()
+			exp.Pull(s.runCtx, s.queue, run, s.persist)
+		}()
 	}
 	return s, nil
-}
-
-// localPuller is one of the coordinator's own simulation workers: it
-// claims points off the same queue remote workers pull from, so local
-// capacity and the fleet share one dispatch order and never duplicate
-// work. Local leases do not expire — the holder cannot outlive the
-// queue — so no heartbeats are needed.
-func (s *Server) localPuller() {
-	defer s.localWG.Done()
-	for {
-		l, err := s.queue.WaitClaim(s.runCtx, "local", 1, time.Hour, true)
-		if err != nil {
-			return // draining or shut down
-		}
-		if l == nil {
-			continue
-		}
-		for _, t := range l.Tasks {
-			res, err := s.runSim(s.runCtx, t.Config)
-			s.queue.Complete(l.ID, t.ID, queue.Outcome{Result: res, Err: err}, s.persist) //nolint:errcheck // local leases cannot expire
-		}
-	}
-}
-
-// persist is the coordinator's one completion path, shared by the
-// local pullers and the lease results endpoint: the queue calls it
-// before delivering an accepted outcome, so a successful result is in
-// the store before its key stops being live.
-func (s *Server) persist(t queue.Task, out queue.Outcome) {
-	if out.Err != nil {
-		return
-	}
-	if err := s.store.Put(t.Key, t.Config, out.Result); err != nil {
-		// The result stands; a broken store surfaces in the log.
-		s.logf("store put %s: %v", t.Key[:12], err)
-	}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -306,27 +286,18 @@ func (c *campaign) status() Status {
 	return c.statusLocked()
 }
 
-// source is how a campaign's point was resolved when it was enqueued.
-type source int
-
-const (
-	queued source = iota // released to the pullers
-	joined               // attached to a live identical point
-	stored               // served from the store
-)
-
 // record stores one point's outcome and wakes SSE streams. Seconds
 // runs from the campaign's start to the outcome, queue wait included.
-func (c *campaign) record(d queue.Delivery, how source, elapsed time.Duration) {
+func (c *campaign) record(d queue.Delivery, how exp.Source, elapsed time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	o := &c.outs[d.Tag]
 	o.Result, o.Err, o.Seconds = d.Result, d.Err, elapsed.Seconds()
 	switch {
-	case how == stored:
+	case how == exp.Stored:
 		c.fromStore++
 		o.Cached = true
-	case how == joined:
+	case how == exp.Joined:
 		if d.Err == nil {
 			c.deduped++
 			o.Cached = true
@@ -369,36 +340,16 @@ func (c *campaign) waitFinished(ctx context.Context) ([]exp.Outcome, bool) {
 }
 
 // start launches the campaign executor. It enqueues every point in
-// campaign order: a point that joins a live identical one waits for its
-// outcome; otherwise one store lookup resolves the new task or releases
-// it to the pullers. It then records outcomes as they arrive, finishes
-// the campaign and writes the JSONL mirror. Only a forced abort
-// (runCtx) finishes it before every outcome is in.
+// campaign order (see exp.Enqueue), then records outcomes as they
+// arrive, finishes the campaign and writes the JSONL mirror. Only a
+// forced abort (runCtx) finishes it before every outcome is in.
 func (s *Server) start(c *campaign) {
 	go func() {
 		defer s.wg.Done()
 		begin := time.Now()
 		// One delivery per ticket, so the queue never blocks sending.
 		done := make(chan queue.Delivery, len(c.outs))
-		how := make([]source, len(c.outs))
-		for i := range c.outs {
-			cfg := c.outs[i].Point.Config
-			key := s.store.Key(cfg)
-			tk, err := s.queue.Enqueue(key, cfg, i, done)
-			switch {
-			case err != nil: // draining
-				done <- queue.Delivery{Tag: i, Outcome: queue.Outcome{Err: err}}
-			case tk.Joined:
-				how[i] = joined
-			default:
-				if res, ok := s.store.Get(key); ok {
-					how[i] = stored
-					s.queue.Resolve(tk, queue.Outcome{Result: res})
-				} else {
-					s.queue.Release(tk)
-				}
-			}
-		}
+		how := exp.Enqueue(s.queue, s.store, c.outs, exp.Keys(s.store, c.outs), done)
 		var err error
 	collect:
 		for range c.outs {

@@ -70,7 +70,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 
 	var localJSONL bytes.Buffer
 	local, err := exp.Run(context.Background(), camp, exp.Options{
-		Workers: 2, SeedBase: 42, JSONL: &localJSONL, CanonicalJSONL: true,
+		Workers: 2, SeedBase: 42, JSONL: &localJSONL,
 	})
 	if err != nil {
 		t.Fatal(err)

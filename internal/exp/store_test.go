@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +33,11 @@ func fillStore(t *testing.T, s *Store, n int) (keys []string, entrySize int64) {
 		}
 		keys = append(keys, key)
 	}
-	return keys, s.cache.Size(keys[len(keys)-1])
+	fi, err := os.Stat(s.path(keys[len(keys)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys, fi.Size()
 }
 
 func TestStoreEvictsLRU(t *testing.T) {
@@ -178,12 +186,9 @@ func TestStoreConcurrentHitsDuringEviction(t *testing.T) {
 // of the two complete entries, never a torn mix, and the hit/miss
 // counters must account for every lookup.
 func TestCacheConcurrentSameKeyWriters(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := mustStore(t, t.TempDir(), 0)
 	cfg := storeCfg(0)
-	key := cache.Key(cfg)
+	key := store.Key(cfg)
 
 	const rounds = 100
 	var wg sync.WaitGroup
@@ -193,7 +198,7 @@ func TestCacheConcurrentSameKeyWriters(t *testing.T) {
 			defer wg.Done()
 			res := dragonfly.Result{Mechanism: "Minimal", Delivered: int64(100 + w)}
 			for i := 0; i < rounds; i++ {
-				if err := cache.Put(key, cfg, res); err != nil {
+				if err := store.Put(key, cfg, res); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -207,7 +212,7 @@ func TestCacheConcurrentSameKeyWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				lookups.Add(1)
-				if res, ok := cache.Get(key); ok {
+				if res, ok := store.Get(key); ok {
 					if res.Delivered != 100 && res.Delivered != 101 {
 						t.Errorf("torn entry: Delivered=%d", res.Delivered)
 						return
@@ -218,20 +223,187 @@ func TestCacheConcurrentSameKeyWriters(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, ok := cache.Get(key)
+	res, ok := store.Get(key)
 	if !ok || (res.Delivered != 100 && res.Delivered != 101) {
 		t.Fatalf("final entry: ok=%v %+v", ok, res)
 	}
-	hits, misses := cache.Stats()
-	if hits+misses != lookups.Load()+1 {
-		t.Fatalf("counters drifted: %d hits + %d misses != %d lookups", hits, misses, lookups.Load()+1)
+	st := store.Stats()
+	if st.Hits+st.Misses != lookups.Load()+1 {
+		t.Fatalf("counters drifted: %d hits + %d misses != %d lookups", st.Hits, st.Misses, lookups.Load()+1)
 	}
 	// No stray temp files left behind by the racing writers.
-	entries, err := cache.Entries()
+	entries, err := store.scan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Key != key {
+	if len(entries) != 1 || entries[0].key != key {
 		t.Fatalf("directory holds %d entries, want exactly the racing key", len(entries))
+	}
+}
+
+// countingRun runs points through the engine, counting the simulations.
+func countingRun(n *atomic.Int64) func(context.Context, int, Point) (dragonfly.Result, error) {
+	return func(ctx context.Context, _ int, p Point) (dragonfly.Result, error) {
+		n.Add(1)
+		return dragonfly.RunContext(ctx, p.Config)
+	}
+}
+
+// TestCacheWarmRerunExecutesZeroSims is the store acceptance check: a
+// repeated campaign with a warm store completes without simulating.
+func TestCacheWarmRerunExecutesZeroSims(t *testing.T) {
+	store := mustStore(t, t.TempDir(), 0)
+	camp := tinyCampaign()
+
+	var sims atomic.Int64
+	cold, err := Run(context.Background(), camp, Options{Workers: 2, Cache: store, Run: countingRun(&sims)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sims.Load(); got != int64(len(camp.Points)) {
+		t.Fatalf("cold run executed %d sims, want %d", got, len(camp.Points))
+	}
+	if st := store.Stats(); st.Hits != 0 || st.Misses != int64(len(camp.Points)) {
+		t.Fatalf("cold stats: %d hits, %d misses", st.Hits, st.Misses)
+	}
+
+	sims.Store(0)
+	warm, err := Run(context.Background(), camp, Options{Workers: 2, Cache: store, Run: countingRun(&sims)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sims.Load(); got != 0 {
+		t.Fatalf("warm run executed %d sims, want 0", got)
+	}
+	for i := range warm {
+		if !warm[i].Cached {
+			t.Fatalf("point %d not served from the store", i)
+		}
+		if !reflect.DeepEqual(warm[i].Result, cold[i].Result) {
+			t.Fatalf("point %d cached result differs:\ncold: %+v\nwarm: %+v", i, cold[i].Result, warm[i].Result)
+		}
+	}
+}
+
+func TestCacheKeyCanonicalization(t *testing.T) {
+	var store Store // Key reads no store state
+	zero := dragonfly.Config{H: 4, Load: 0.5}
+	explicit := zero
+	// Spell out every default the zero config implies.
+	explicit.PacketPhits = 8
+	explicit.Warmup, explicit.Measure = 3000, 6000
+	explicit.Threshold, explicit.PBThreshold = 0.45, 0.35
+	explicit.RemoteCandidates = 2
+	explicit.BufLocal, explicit.BufGlobal = 32, 256
+	explicit.InjQueuePackets = 16
+	explicit.LatLocal, explicit.LatGlobal = 10, 100
+	explicit.Watchdog = 20000
+	explicit.MaxCycles = 50 * (3000 + 6000 + 20000)
+	explicit.Traffic = dragonfly.Traffic{Kind: dragonfly.UN}
+	if store.Key(zero) != store.Key(explicit) {
+		t.Fatal("zero config and its explicit defaults hash differently")
+	}
+
+	// Worker count never changes results, so it must not change the key.
+	workers := zero
+	workers.Workers = 8
+	if store.Key(zero) != store.Key(workers) {
+		t.Fatal("worker count leaked into the cache key")
+	}
+
+	// The seed does change results.
+	seeded := zero
+	seeded.Seed = 3
+	if store.Key(zero) == store.Key(seeded) {
+		t.Fatal("seed not part of the cache key")
+	}
+
+	// ADVG offset 0 means offset 1.
+	a, b := zero, zero
+	a.Traffic = dragonfly.Traffic{Kind: dragonfly.ADVG}
+	b.Traffic = dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: 1}
+	if store.Key(a) != store.Key(b) {
+		t.Fatal("default ADVG offset hashes differently from explicit +1")
+	}
+
+	// A burst run ignores Load entirely.
+	c, d := zero, zero
+	c.BurstPackets, c.Load = 10, 0.2
+	d.BurstPackets, d.Load = 10, 0.9
+	if store.Key(c) != store.Key(d) {
+		t.Fatal("irrelevant Load leaked into a burst cache key")
+	}
+
+	// A one-phase workload is the same experiment as the classic trio, in
+	// all three spellings.
+	phased := dragonfly.Config{H: 4}
+	phased.Phases = []dragonfly.PhaseSpec{{Traffic: dragonfly.Traffic{Kind: dragonfly.UN}, Load: 0.5}}
+	jobbed := dragonfly.Config{H: 4}
+	jobbed.Workload = []dragonfly.JobSpec{{Phases: phased.Phases}}
+	ranged := dragonfly.Config{H: 4}
+	ranged.Workload = []dragonfly.JobSpec{{FirstNode: 0, LastNode: 1055, Phases: phased.Phases}}
+	if store.Key(zero) != store.Key(phased) || store.Key(zero) != store.Key(jobbed) ||
+		store.Key(zero) != store.Key(ranged) {
+		t.Fatal("one-phase workload spellings hash differently from the trio")
+	}
+
+	// The timeline window width changes the result, so it must change the
+	// key; a genuinely phased schedule must differ from the one-phase one.
+	windowed := zero
+	windowed.WindowCycles = 500
+	if store.Key(zero) == store.Key(windowed) {
+		t.Fatal("WindowCycles not part of the cache key")
+	}
+	twoPhase := dragonfly.Config{H: 4}
+	twoPhase.Phases = []dragonfly.PhaseSpec{
+		{Traffic: dragonfly.Traffic{Kind: dragonfly.UN}, Load: 0.5, Duration: 4000},
+		{Traffic: dragonfly.Traffic{Kind: dragonfly.ADVG, Offset: 4}, Load: 0.5},
+	}
+	if store.Key(zero) == store.Key(twoPhase) {
+		t.Fatal("a phased schedule hashes like a static one")
+	}
+
+	// Explicit whole-network job bounds hash like the implicit zero range.
+	implicit := dragonfly.Config{H: 4}
+	implicit.Workload = []dragonfly.JobSpec{
+		{Phases: twoPhase.Phases},
+	}
+	explicitRange := dragonfly.Config{H: 4}
+	explicitRange.Workload = []dragonfly.JobSpec{
+		{FirstNode: 0, LastNode: 1055, Phases: twoPhase.Phases}, // h=4: 1056 nodes
+	}
+	if store.Key(implicit) != store.Key(explicitRange) {
+		t.Fatal("implicit whole-network job hashes differently from the explicit range")
+	}
+}
+
+func TestCacheCorruptEntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	store := mustStore(t, dir, 0)
+	cfg := tinyBase()
+	cfg.Mechanism = dragonfly.Minimal
+	cfg.Load = 0.2
+	key := store.Key(cfg)
+
+	if _, ok := store.Get(key); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("not json{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(key); ok {
+		t.Fatal("corrupt entry reported a hit")
+	}
+
+	want := dragonfly.Result{Mechanism: "Minimal", Delivered: 42}
+	if err := store.Put(key, cfg, want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := store.Get(key)
+	if !ok || got.Delivered != 42 {
+		t.Fatalf("after Put: ok=%v result=%+v", ok, got)
+	}
+	if st := store.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats: %d hits, %d misses", st.Hits, st.Misses)
 	}
 }

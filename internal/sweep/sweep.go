@@ -2,8 +2,8 @@
 // offered-load sweeps (Figures 4, 5, 7, 8 and 10, 11), traffic-mix sweeps
 // (Figures 6a, 9a) and burst-consumption experiments (Figures 6b, 9b).
 // The sweep functions compose the campaign via internal/exp's matrix
-// builder, execute it on exp's bounded worker pool — inheriting its
-// cancellation, caching and JSONL streaming — and fold the outcomes back
+// builder, execute it with exp.Run — inheriting its cancellation,
+// result store and canonical JSONL — and fold the outcomes back
 // into per-mechanism Series for the figure renderers in format.go.
 package sweep
 
@@ -42,14 +42,14 @@ type Options struct {
 	// abort at their next cycle check, unstarted points record the
 	// context's error.
 	Context context.Context
-	// Cache, when non-nil, serves repeated points without simulating.
-	// Ignored when Remote is set — the server has its own store.
-	Cache *exp.Cache
-	// JSONL, when non-nil, receives one JSON line per finished point.
-	// Sweeps always emit canonical JSONL (campaign order, volatile
-	// fields zeroed; see exp.Options.CanonicalJSONL), so the stream for
-	// a given campaign is byte-identical across worker counts, cache
-	// states, and local versus remote execution.
+	// Cache, when non-nil, is the result store that serves repeated
+	// points without simulating. Ignored when Remote is set — the
+	// server has its own store.
+	Cache *exp.Store
+	// JSONL, when non-nil, receives one canonical JSON line per point
+	// (campaign order, volatile fields zeroed; see exp.Options.JSONL),
+	// so the stream for a given campaign is byte-identical across
+	// worker counts, store states, and local versus remote execution.
 	JSONL io.Writer
 	// Remote, when non-nil, executes the campaign on a dragonsrv server
 	// instead of in-process (srv.Client implements this). Progress and
@@ -71,10 +71,9 @@ type Runner interface {
 // complete (failed points carry their error) even when it is non-nil.
 func exec(camp exp.Campaign, series []Series, pointsPer int, opt Options) ([]Series, error) {
 	eopt := exp.Options{
-		Workers:        opt.Parallelism,
-		Cache:          opt.Cache,
-		JSONL:          opt.JSONL,
-		CanonicalJSONL: true,
+		Workers: opt.Parallelism,
+		Cache:   opt.Cache,
+		JSONL:   opt.JSONL,
 	}
 	if opt.Remote != nil {
 		eopt.Cache = nil

@@ -148,11 +148,11 @@ func TestPerPointErrorSurfacing(t *testing.T) {
 }
 
 func TestSweepUsesCache(t *testing.T) {
-	cache, err := exp.OpenCache(t.TempDir())
+	store, err := exp.OpenStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Parallelism: 2, Cache: cache}
+	opt := Options{Parallelism: 2, Cache: store}
 	first, err := LoadSweep(tinyBase(), []dragonfly.Mechanism{dragonfly.Minimal}, []float64{0.1, 0.3}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +161,8 @@ func TestSweepUsesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := cache.Stats()
-	if hits != 2 {
-		t.Fatalf("%d cache hits on the repeated sweep, want 2", hits)
+	if hits := store.Stats().Hits; hits != 2 {
+		t.Fatalf("%d store hits on the repeated sweep, want 2", hits)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("cached sweep differs from the original")
